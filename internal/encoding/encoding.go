@@ -47,15 +47,19 @@ const DataWidth = 32
 // difference of normalised transition directions (vi - vj)^2, which is 4
 // for a toggle (Miller case), 1 for a switch against a quiet line, and 0
 // otherwise — proportional to the pair's coupling energy.
+//
+// All width-1 pairs are scored at once with masks. With r and f the rising
+// and falling lines, a pair costs 1 when exactly one of its lines
+// switches (bit i of s ^ s>>1, s = r|f) and 4 when its lines switch in
+// opposite directions (bit i of r&f>>1 | f&r>>1); same-direction and
+// quiet pairs cost 0. Bit i of either mask describes pair (i, i+1), so
+// the low width-1 bits cover the bus exactly.
 func couplingCost(prev, cur uint64, width int) int {
-	cost := 0
-	for i := 0; i < width-1; i++ {
-		vi := dir(prev, cur, i)
-		vj := dir(prev, cur, i+1)
-		d := vi - vj
-		cost += d * d
-	}
-	return cost
+	r := cur &^ prev
+	f := prev &^ cur
+	s := r | f
+	pairs := uint64(1)<<uint(width-1) - 1
+	return bits.OnesCount64((s^s>>1)&pairs) + 4*bits.OnesCount64((r&(f>>1)|f&(r>>1))&pairs)
 }
 
 // dir returns the normalised transition direction of bit i: +1 rising,
@@ -64,12 +68,6 @@ func dir(prev, cur uint64, i int) int {
 	p := int((prev >> uint(i)) & 1)
 	c := int((cur >> uint(i)) & 1)
 	return c - p
-}
-
-// selfCost returns the number of switching lines (self-transition count).
-func selfCost(prev, cur uint64, width int) int {
-	mask := uint64(1)<<uint(width) - 1
-	return bits.OnesCount64((prev ^ cur) & mask)
 }
 
 // --- Unencoded -----------------------------------------------------------

@@ -117,8 +117,8 @@ func TestBIReducesSelfTransitions(t *testing.T) {
 		pu := un.Encode(w)
 		pb := bi.Encode(w)
 		if i > 0 {
-			totalU += selfCost(prevU, pu, un.Width())
-			totalB += selfCost(prevB, pb, bi.Width())
+			totalU += bits.OnesCount64(prevU ^ pu)
+			totalB += bits.OnesCount64(prevB ^ pb)
 		}
 		prevU, prevB = pu, pb
 	}
@@ -154,8 +154,8 @@ func TestOEBINoWorseCouplingThanUnencoded(t *testing.T) {
 		w := rng.Uint32()
 		phys := enc.Encode(w)
 		rawPhys := uint64(w) << 1 // mode 00 candidate on the same layout
-		cEnc := couplingCost(prevPhys, phys, enc.Width())
-		cRaw := couplingCost(prevPhys, rawPhys, enc.Width())
+		cEnc := couplingCostRef(prevPhys, phys, enc.Width())
+		cRaw := couplingCostRef(prevPhys, rawPhys, enc.Width())
 		if cEnc > cRaw {
 			t.Fatalf("step %d: OEBI coupling cost %d > unencoded-on-same-bus %d", i, cEnc, cRaw)
 		}
@@ -172,8 +172,8 @@ func TestCBIPicksLowerCouplingChoice(t *testing.T) {
 		phys := enc.Encode(w)
 		plain := uint64(w)
 		inverted := uint64(^w) | 1<<DataWidth
-		cPlain := couplingCost(prev, plain, enc.Width())
-		cInv := couplingCost(prev, inverted, enc.Width())
+		cPlain := couplingCostRef(prev, plain, enc.Width())
+		cInv := couplingCostRef(prev, inverted, enc.Width())
 		want := plain
 		if cInv < cPlain {
 			want = inverted
@@ -237,6 +237,9 @@ func TestCouplingCostCases(t *testing.T) {
 	for _, c := range cases {
 		if got := couplingCost(c.prev, c.cur, 2); got != c.want {
 			t.Errorf("couplingCost(%02b->%02b) = %d, want %d", c.prev, c.cur, got, c.want)
+		}
+		if got := couplingCostRef(c.prev, c.cur, 2); got != c.want {
+			t.Errorf("couplingCostRef(%02b->%02b) = %d, want %d", c.prev, c.cur, got, c.want)
 		}
 	}
 }
