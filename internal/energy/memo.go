@@ -3,8 +3,8 @@
 // of switching lines that rise (see transitionSparse). Address streams are
 // extremely repetitive — an IA bus mostly increments, a DA bus cycles
 // through a working set — so a small direct-mapped cache over that key
-// converts the O(s^2) pairwise kernel into an O(s) sparse accumulate for
-// the overwhelming majority of cycles.
+// replaces the banded kernel's O(s*band) fold with an O(s) sparse
+// accumulate for the overwhelming majority of cycles.
 package energy
 
 import (
