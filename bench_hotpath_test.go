@@ -54,8 +54,10 @@ func benchModel(b *testing.B) *energy.Model {
 	return m
 }
 
-// BenchmarkTransition compares the direct O(s^2) transition kernel against
-// the memoized lookup on the same address stream.
+// BenchmarkTransition compares the direct transition kernel against the
+// memoized lookup on the same address stream. "miss" feeds the memo far
+// jumps only (a fresh random word every cycle, so no key repeats) and so
+// times the memo's miss path: probe, install and the banded kernel.
 func BenchmarkTransition(b *testing.B) {
 	m := benchModel(b)
 	words := addressWords(1 << 14)
@@ -88,6 +90,47 @@ func BenchmarkTransition(b *testing.B) {
 		}
 		b.ReportMetric(100*memo.Stats().HitRate(), "hit_pct")
 	})
+	b.Run("miss", func(b *testing.B) {
+		memo, err := energy.NewMemo(m, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prev, x := uint64(0), uint64(0x9e3779b97f4a7c15)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			cur := x >> 32
+			if _, err := memo.Transition(prev, cur, out); err != nil {
+				b.Fatal(err)
+			}
+			prev = cur
+		}
+		b.ReportMetric(100*memo.Stats().HitRate(), "hit_pct")
+	})
+}
+
+// BenchmarkEncode measures the paper's three coding schemes per word on
+// the address stream; OEBI and CBI score their candidates with the
+// coupling cost.
+func BenchmarkEncode(b *testing.B) {
+	words := make([]uint32, 1<<14)
+	for i, w := range addressWords(len(words)) {
+		words[i] = uint32(w)
+	}
+	for _, name := range []string{"BI", "OEBI", "CBI"} {
+		b.Run(name, func(b *testing.B) {
+			enc, err := encoding.New(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				enc.Encode(words[i&(len(words)-1)])
+			}
+		})
+	}
 }
 
 // BenchmarkThermalAdvance compares one interval step under the exact

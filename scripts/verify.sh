@@ -1,10 +1,11 @@
 #!/bin/sh
 # Full local/CI gate: build, vet, nanolint, race-enabled tests (which
 # include the AllocsPerRun zero-alloc gates in core, energy, server and
-# expt), the ratcheted coverage minimum, a benchmark smoke gated against
-# the recorded baseline (benchgate fails the run when any kernel is more
-# than 2x slower than BENCH_hotpath.json), the nanobusd end-to-end smoke,
-# the adaptive cooling-code gate, and the kill -9 durability chaos gate.
+# expt), the results/ drift check, the ratcheted coverage minimum, a
+# benchmark smoke gated against the recorded baseline (benchgate fails
+# the run when any kernel is more than 2x slower than
+# BENCH_hotpath.json), the nanobusd end-to-end smoke, the adaptive
+# cooling-code gate, and the kill -9 durability chaos gate.
 #
 # CI-safe by construction: no interactive input, no TTY assumptions, and
 # every stage's exit status stops the run. Benchmark output goes through
@@ -34,6 +35,11 @@ go run ./cmd/nanolint -baseline .nanolint-baseline.json -ratchet -sarif "$tmp/na
 echo "==> race tests"
 go test -race ./...
 
+echo "==> results drift"
+# The committed seconds-scale results/ outputs must regenerate
+# byte-identically (nightly adds the 20M-cycle Fig. 3 sweep).
+sh scripts/results_drift.sh
+
 echo "==> coverage gate"
 go test -count=1 -coverprofile "$tmp/coverage.out" ./...
 go run ./scripts/covergate -profile "$tmp/coverage.out" -min 82.1
@@ -47,7 +53,7 @@ go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_fast.txt"
 # Memo-warmed kernels need enough iterations to reach their steady-state
 # hit rate (the baseline regime); 100x would gate against a cold cache.
 go test -run NONE \
-    -bench 'BenchmarkTransition|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkCoolingStep' \
+    -bench 'BenchmarkTransition|BenchmarkEncode$|BenchmarkRunPair|BenchmarkStepBatch|BenchmarkMultiStep|BenchmarkCoolingStep' \
     -benchmem -benchtime 100000x -count 3 . > "$tmp/bench_warm.txt"
 go run ./scripts/benchgate -baseline BENCH_hotpath.json < "$tmp/bench_warm.txt"
 # Whole-sweep benchmarks run ~0.5 s/op, so one iteration is already stable.
